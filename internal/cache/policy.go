@@ -6,17 +6,16 @@
 // γ_C (Section V-B), privacy marking state, and Random-Cache counters
 // (Section VI, Algorithm 1).
 //
-// The store is a facade over the PIT-CS composite table
+// The store is a facade over a hash-indexed name table
 // (internal/pcct): entries live in the table's pooled arena, eviction
 // policies are the table's intrusive lists, and prefix matching walks
-// the table's sorted index. A forwarder may hand the same table to its
-// PIT so one hash probe per arriving interest serves both.
+// the table's sorted index.
 package cache
 
 import "ndnprivacy/internal/pcct"
 
 // Policy selects which eviction policy a bounded store uses. Policies
-// are implemented inside the composite table as intrusive lists
+// are implemented inside the name table as intrusive lists
 // threaded through the entries themselves (internal/pcct); this
 // interface is a selector, not a container — the old string-keyed
 // OnInsert/OnAccess/Victim mechanism and its per-key map and list-node

@@ -58,16 +58,14 @@ func (e *Entry) IsStale(now time.Duration) bool {
 // entryPoolCap bounds the store's recycled-Entry free list.
 const entryPoolCap = 1024
 
-// Store is an NDN Content Store over the PIT-CS composite table. A
-// capacity of 0 means unlimited (the paper's "Inf" baseline). Store is
-// not safe for concurrent use; each simulated node runs single-threaded
-// on the event loop.
+// Store is an NDN Content Store over the CS facets of a hash-indexed
+// name table (internal/pcct). A capacity of 0 means unlimited (the
+// paper's "Inf" baseline). Store is not safe for concurrent use; each
+// simulated node runs single-threaded on the event loop.
 type Store struct {
 	capacity int
 	policy   Policy
-	// t holds the entries: the CS facet of a composite table. A
-	// forwarder may share the same table with its PIT (see Table), in
-	// which case one probe resolves both.
+	// t holds the entries as CS facets.
 	t *pcct.Table
 	// pool recycles Entry metadata structs across insert/evict churn.
 	// Recycling is skipped whenever a removal hook is registered — a
@@ -121,11 +119,6 @@ func MustNewStore(capacity int, policy Policy) *Store {
 	}
 	return s
 }
-
-// Table exposes the underlying composite table so a forwarder can run
-// its PIT on the same table and fuse CS-check, PIT-aggregate and
-// PIT-insert into one hash probe per arriving interest.
-func (s *Store) Table() *pcct.Table { return s.t }
 
 // Len returns the number of cached objects.
 func (s *Store) Len() int { return s.t.LenCS() }
@@ -354,67 +347,16 @@ func (s *Store) countLookup(hit bool) {
 	}
 }
 
-// ProbeName captures one hash probe for name. The forwarder's fused
-// fast path takes the probe once per arriving interest and feeds it to
-// MatchProbed and then the PIT's InsertProbed, so the CS check, the
-// PIT aggregate check and the PIT insert cost a single probe.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
-func (s *Store) ProbeName(name ndn.Name) pcct.Probe { return s.t.Probe(name) }
-
-// ProbeViewFused resolves both facets of the composite table with one
-// hash probe over a zero-copy name view: cached follows ExactView
-// semantics exactly (stale purge, hit/miss accounting), and pending
-// reports whether a live PIT facet awaits the name at virtual time now.
-// It exists for forwarders running their PIT on this store's table
-// (Table), where separate CS and PIT probes would hash the same name
-// twice. Pending state is read before any stale purge, which may
-// release the table entry.
-//
-//ndnlint:hotpath — wire-probe fast path; must not allocate
-func (s *Store) ProbeViewFused(v *ndn.NameView, now time.Duration) (entry *Entry, cached, pending bool) {
-	e := s.t.GetView(v)
-	if e == nil {
-		s.countLookup(false)
-		return nil, false, false
-	}
-	pending = e.PITActive() && now < e.PIT().Expires
-	if e.CS() != nil {
-		ce := e.CS().(*Entry)
-		if ce.IsStale(now) {
-			s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
-		} else {
-			entry, cached = ce, true
-		}
-	}
-	s.countLookup(cached)
-	return entry, cached, pending
-}
-
 // Match finds a cached object satisfying the interest under NDN's
 // longest-prefix rule (Section II footnote 2), skipping stale entries and
 // honoring the unpredictable-suffix restriction. Among multiple matches
 // the lexicographically smallest full name wins, which makes simulation
 // runs deterministic.
-func (s *Store) Match(interest *ndn.Interest, now time.Duration) (*Entry, bool) {
-	p := s.t.Probe(interest.Name)
-	return s.matchProbed(interest, &p, now)
-}
-
-// MatchProbed is Match reusing an earlier probe of interest.Name.
 //
-//ndnlint:hotpath — fused-path CS check; must not allocate on the exact-hit path
-func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Duration) (*Entry, bool) {
-	return s.matchProbed(interest, p, now)
-}
-
-//ndnlint:hotpath — shared by Match and MatchProbed; must not allocate on the exact-hit path
-func (s *Store) matchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Duration) (*Entry, bool) {
-	if !p.Valid(s.t) {
-		*p = s.t.Probe(interest.Name)
-	}
+//ndnlint:hotpath — the forwarder's CS check; must not allocate on the exact-hit path
+func (s *Store) Match(interest *ndn.Interest, now time.Duration) (*Entry, bool) {
 	// Fast path: exact name.
-	if e := p.Entry; e != nil && e.CS() != nil {
+	if e := s.t.Get(interest.Name); e != nil && e.CS() != nil {
 		entry := e.CS().(*Entry)
 		if !entry.IsStale(now) {
 			s.countLookup(true)
@@ -490,10 +432,9 @@ func (s *Store) Names() []ndn.Name {
 	return out
 }
 
-// removeEntry detaches e's CS facet, releases the table entry unless a
-// PIT facet keeps it alive, and runs the removal side effects in the
-// same order the map-based store used: span close, trace event,
-// eviction hook, removal observer.
+// removeEntry detaches e's CS facet, releases the table entry, and runs
+// the removal side effects in the same order the map-based store used:
+// span close, trace event, eviction hook, removal observer.
 func (s *Store) removeEntry(e *pcct.Entry, now time.Duration, reason RemoveReason) {
 	entry := e.CS().(*Entry)
 	key := entry.Data.Name.Key()

@@ -315,25 +315,6 @@ func TestStoreExactAfterInsertProperty(t *testing.T) {
 	}
 }
 
-func TestNameIndexUnder(t *testing.T) {
-	ix := newNameIndex()
-	for _, n := range []string{"/a/b/c", "/a/b/d", "/a/x", "/z"} {
-		ix.insert(ndn.MustParseName(n))
-	}
-	under := ix.under(ndn.MustParseName("/a/b"))
-	if len(under) != 2 || under[0].String() != "/a/b/c" || under[1].String() != "/a/b/d" {
-		t.Errorf("under(/a/b) = %v", under)
-	}
-	if got := ix.under(ndn.MustParseName("/nope")); got != nil {
-		t.Errorf("under(/nope) = %v, want nil", got)
-	}
-	ix.remove(ndn.MustParseName("/a/b/c"))
-	if under := ix.under(ndn.MustParseName("/a/b")); len(under) != 1 {
-		t.Errorf("after remove: %v", under)
-	}
-	ix.remove(ndn.MustParseName("/ghost")) // must not panic
-}
-
 func TestStoreIsStaleBoundary(t *testing.T) {
 	freshness := 10 * time.Millisecond
 	e := &Entry{Data: &ndn.Data{Freshness: freshness}, InsertedAt: time.Millisecond}

@@ -120,54 +120,48 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestFusedInterestStepZeroAlloc(t *testing.T) {
-	// The fused interest step — one ProbeName shared by the CS check
-	// (MatchProbed) and the PIT admission (InsertProbed), then Data
-	// satisfaction by the returned token — must not allocate in steady
-	// state, on the hit leg or the miss leg.
+func TestInterestStepZeroAlloc(t *testing.T) {
+	// The forwarder's table steps for one interest — CS match then
+	// recency touch on a hit; CS match, PIT admission and Data
+	// satisfaction on a miss — must not allocate in steady state.
 	store := cache.MustNewStore(0, nil)
-	pit := table.NewPITOn(store.Table())
-	hot, err := ndn.NewData(ndn.MustParseName("/fused/hot"), []byte("x"))
+	pit := table.NewPIT()
+	hot, err := ndn.NewData(ndn.MustParseName("/step/hot"), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.Insert(hot, 0, 0)
 	hitInterest := ndn.NewInterest(hot.Name, 7)
-	cold := ndn.MustParseName("/fused/cold")
+	cold := ndn.MustParseName("/step/cold")
 	missInterest := ndn.NewInterest(cold, 8)
 	coldData, err := ndn.NewData(cold, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime one pending lifecycle so the table arena, facet pool and
-	// result buffers reach steady state (first admission allocates by
+	// Prime one pending lifecycle so the table arena, facet slices and
+	// result buffer reach steady state (first admission allocates by
 	// design).
-	pr := store.ProbeName(cold)
-	pit.InsertProbed(missInterest, 1, 0, &pr)
-	if _, ok := pit.SatisfyWithInfo(coldData, 0); !ok {
+	pit.Insert(missInterest, 1, 0)
+	if _, ok := pit.Satisfy(coldData, 0); !ok {
 		t.Fatal("prime satisfaction failed")
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		// Hit leg: probe → CS match → recency touch.
-		p := store.ProbeName(hitInterest.Name)
-		if _, found := store.MatchProbed(hitInterest, &p, 0); !found {
+		// Hit leg: CS match → recency touch.
+		if _, found := store.Match(hitInterest, 0); !found {
 			t.Fatal("hot name missed")
 		}
 		store.Touch(hot.Name)
-		// Miss leg: the same probe feeds CS check and PIT admission;
-		// the token satisfies without a hash sweep.
-		p = store.ProbeName(cold)
-		if _, found := store.MatchProbed(missInterest, &p, 0); found {
+		// Miss leg: CS match → PIT admission → Data satisfaction.
+		if _, found := store.Match(missInterest, 0); found {
 			t.Fatal("cold name hit")
 		}
-		_, tok := pit.InsertProbed(missInterest, 1, 0, &p)
-		if tok == 0 {
-			t.Fatal("no token returned")
+		if pit.Insert(missInterest, 1, 0) != table.InsertedNew {
+			t.Fatal("admission failed")
 		}
-		if _, ok := pit.SatisfyByToken(coldData, tok, 0); !ok {
-			t.Fatal("token satisfaction failed")
+		if _, ok := pit.Satisfy(coldData, 0); !ok {
+			t.Fatal("satisfaction failed")
 		}
 	}); n != 0 {
-		t.Errorf("fused interest step: %.2f allocs/run, want 0", n)
+		t.Errorf("interest step: %.2f allocs/run, want 0", n)
 	}
 }

@@ -99,10 +99,29 @@ func (c *Consumer) fetch(interest *ndn.Interest, handler func(FetchResult)) {
 			return
 		}
 		p.done = true
+		c.dropWaiter(key, p)
 		c.fwd.spans.End(p.root, int64(c.fwd.Sim().Now()), "timeout")
 		handler(FetchResult{TimedOut: true, RTT: c.fwd.Sim().Now() - sentAt})
 	})
 	c.fwd.SendInterest(c.faceID, interest)
+}
+
+// dropWaiter removes a timed-out fetch from the pending map, deleting
+// the key once its last waiter is gone, so fetches that never see Data
+// leave nothing behind.
+func (c *Consumer) dropWaiter(key string, p *pendingFetch) {
+	waiters := c.pending[key]
+	for i, w := range waiters {
+		if w == p {
+			waiters = append(waiters[:i], waiters[i+1:]...)
+			break
+		}
+	}
+	if len(waiters) == 0 {
+		delete(c.pending, key)
+		return
+	}
+	c.pending[key] = waiters
 }
 
 // FetchName is Fetch for a plain interest with the given name.
@@ -239,10 +258,8 @@ func (p *Producer) deliver(pkt any) {
 	p.served++
 	data := entry.Data.Clone()
 	// Answer under the requesting interest's span context so the
-	// response leg joins the same trace, and echo the host's PIT token
-	// so its satisfaction resolves by direct table handle.
+	// response leg joins the same trace.
 	data.TraceID, data.SpanID = interest.TraceID, interest.SpanID
-	data.PITToken = interest.PITToken
 	p.fwd.schedule(p.ResponseDelay, netsim.EventApp, func() {
 		p.fwd.SendData(p.faceID, data)
 	})

@@ -18,7 +18,6 @@ import (
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
-	"ndnprivacy/internal/pcct"
 	"ndnprivacy/internal/table"
 	"ndnprivacy/internal/telemetry"
 	"ndnprivacy/internal/telemetry/span"
@@ -110,18 +109,10 @@ type Forwarder struct {
 	// at construction; nil for flat stores, so the per-hit cost is one
 	// nil check.
 	tiered cache.TieredContentStore
-	// csFlat/csTiered devirtualize ProbeWire's exact lookup: calling
-	// ExactView through the ContentStore interface forces the stack
-	// NameView to escape, so the zero-alloc probe path needs the
-	// concrete store type. At most one is non-nil. A non-nil csFlat
-	// additionally shares its composite table with pit (see New), which
-	// is what fuses the interest pipeline into one hash probe.
-	csFlat   *cache.Store
-	csTiered *tieredcs.Store
-	pit      *table.PIT
-	fib      *table.FIB
-	cm       core.CacheManager
-	delay    time.Duration
+	pit    *table.PIT
+	fib    *table.FIB
+	cm     core.CacheManager
+	delay  time.Duration
 
 	faces    map[table.FaceID]*face
 	nextFace table.FaceID
@@ -219,17 +210,7 @@ func New(cfg Config) (*Forwarder, error) {
 	if grc, isGrouped := cm.(*core.GroupedRandomCache); isGrouped && cfg.Store != nil {
 		cfg.Store.SetEvictionHook(grc.OnContentEvicted)
 	}
-	// A flat store shares its composite table with the PIT, so one hash
-	// probe per arriving interest resolves the CS check, the PIT
-	// aggregate check and the PIT insert; any other store keeps the PIT
-	// on a private table.
-	csFlat, _ := cfg.Store.(*cache.Store)
-	var pit *table.PIT
-	if csFlat != nil {
-		pit = table.NewPITOn(csFlat.Table())
-	} else {
-		pit = table.NewPIT()
-	}
+	pit := table.NewPIT()
 	pit.SetCapacity(cfg.PITCapacity)
 
 	reg, sink := cfg.Metrics, cfg.Trace
@@ -264,23 +245,20 @@ func New(cfg Config) (*Forwarder, error) {
 	}
 	tagged, _ := cfg.Sim.(taggedScheduler)
 	tierCap, _ := cfg.Store.(cache.TieredContentStore)
-	csTiered, _ := cfg.Store.(*tieredcs.Store)
 
 	return &Forwarder{
-		name:     cfg.Name,
-		sim:      cfg.Sim,
-		cs:       cfg.Store,
-		tiered:   tierCap,
-		csFlat:   csFlat,
-		csTiered: csTiered,
-		pit:      pit,
-		fib:      table.NewFIB(),
-		cm:       cm,
-		delay:    cfg.ProcessingDelay,
-		faces:    make(map[table.FaceID]*face),
-		tel:      tel,
-		spans:    spans,
-		tagged:   tagged,
+		name:   cfg.Name,
+		sim:    cfg.Sim,
+		cs:     cfg.Store,
+		tiered: tierCap,
+		pit:    pit,
+		fib:    table.NewFIB(),
+		cm:     cm,
+		delay:  cfg.ProcessingDelay,
+		faces:  make(map[table.FaceID]*face),
+		tel:    tel,
+		spans:  spans,
+		tagged: tagged,
 	}, nil
 }
 
@@ -400,60 +378,25 @@ func (f *Forwarder) receive(from table.FaceID, pkt any) {
 //
 //ndnlint:hotpath — wire→CS/PIT-lookup fast path; must not allocate
 func (f *Forwarder) ProbeWire(wire []byte, now time.Duration) (cached, pending bool) {
-	if f.cs != nil && f.csFlat == nil && f.csTiered == nil {
-		// Unknown ContentStore implementation: calling ExactView through
-		// the interface forces the view to escape, and a single escaping
-		// use would heap-allocate the view on every path through this
-		// function — so the generic probe lives in its own function and
-		// is allowed to allocate.
-		return f.probeWireGeneric(wire, now) //ndnlint:allow alloccheck — out-of-module ContentStore probe; documented allocating fallback off the fast path
-	}
 	v, err := ndn.InterestNameView(wire)
 	if err != nil {
 		return false, false
 	}
 	// View lookups are read-only: the view is compared against cached
-	// names and never retained past the call. Calls are devirtualized so
-	// the view stays on the stack.
-	switch {
-	case f.csFlat != nil:
-		// The flat store's table is also the PIT's (see New): one fused
-		// probe resolves both the CS and the pending facet.
-		_, cached, pending = f.csFlat.ProbeViewFused(&v, now) //ndnlint:allow viewsafe — ProbeViewFused reads the view, never retains it
-	case f.csTiered != nil:
-		_, cached = f.csTiered.ExactView(&v, now) //ndnlint:allow viewsafe — ExactView reads the view, never retains it
-		pending = f.pit.HasPendingView(&v, now)
-	default:
-		// No Content Store: the PIT-only probe.
-		pending = f.pit.HasPendingView(&v, now)
+	// names and never retained past the call. The switch over the
+	// module's two ContentStore types devirtualizes ExactView, so the
+	// view stays on the stack; through the interface it would escape.
+	switch cs := f.cs.(type) {
+	case *cache.Store:
+		_, cached = cs.ExactView(&v, now) //ndnlint:allow viewsafe — ExactView reads the view, never retains it
+	case *tieredcs.Store:
+		_, cached = cs.ExactView(&v, now) //ndnlint:allow viewsafe — ExactView reads the view, never retains it
 	}
+	pending = f.pit.HasPendingView(&v, now)
 	if f.spans != nil {
 		// Traceless point span: wire probes have no propagated context,
 		// and the name stays un-materialized — the view's hash rides in
 		// Value instead.
-		action := "view-miss"
-		if cached {
-			action = "view-hit"
-		}
-		f.spans.Span(span.Context{}, span.KindCS, f.name, "", action, int64(now), int64(now), v.Hash())
-	}
-	return cached, pending
-}
-
-// probeWireGeneric is ProbeWire for ContentStore implementations outside
-// this module: same semantics, but the interface ExactView call makes
-// the name view escape, so this path allocates and is kept off the
-// hot path.
-func (f *Forwarder) probeWireGeneric(wire []byte, now time.Duration) (cached, pending bool) {
-	v, err := ndn.InterestNameView(wire)
-	if err != nil {
-		return false, false
-	}
-	if _, found := f.cs.ExactView(&v, now); found { //ndnlint:allow viewsafe — ExactView implementations read the view, never retain it
-		cached = true
-	}
-	pending = f.pit.HasPendingView(&v, now)
-	if f.spans != nil {
 		action := "view-miss"
 		if cached {
 			action = "view-hit"
@@ -484,23 +427,9 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 		interest = &cp
 	}
 
-	// Content Store lookup, mediated by the cache manager. With a flat
-	// store the PIT runs on the same composite table (see New), so the
-	// probe taken here is reused by the PIT steps below — one hash
-	// probe per arriving interest resolves CS-check, PIT-aggregate and
-	// PIT-insert.
-	var probe pcct.Probe
-	fused := f.csFlat != nil
+	// Content Store lookup, mediated by the cache manager.
 	if f.cs != nil {
-		var entry *cache.Entry
-		var found bool
-		if fused {
-			probe = f.csFlat.ProbeName(interest.Name)
-			entry, found = f.csFlat.MatchProbed(interest, &probe, now)
-		} else {
-			entry, found = f.cs.Match(interest, now)
-		}
-		if found {
+		if entry, found := f.cs.Match(interest, now); found {
 			// A hit served from the second (disk) tier pays that tier's
 			// modeled service latency on top of everything else — the
 			// third latency class the tiered-store adversary measures.
@@ -557,7 +486,6 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 				}
 				data := entry.Data.Clone()
 				data.TraceID, data.SpanID = hopCtx.Trace, hopCtx.Span
-				data.PITToken = interest.PITToken // echo the requester's PIT token (see ndn.Data.PITToken)
 				f.spans.End(hop, int64(now)+int64(diskCost), "serve")
 				if diskCost > 0 {
 					f.schedule(diskCost, netsim.EventDisk, func() { f.sendData(from, data) })
@@ -572,7 +500,6 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 				}
 				data := entry.Data.Clone()
 				data.TraceID, data.SpanID = hopCtx.Trace, hopCtx.Span
-				data.PITToken = interest.PITToken // echo the requester's PIT token (see ndn.Data.PITToken)
 				// The artificial delay replays the original miss latency;
 				// a disk-resident entry still pays the read first, so the
 				// total exceeds the replayed γ_C — the residual leak the
@@ -611,14 +538,8 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 		return
 	}
 
-	// PIT. The fused path reuses the probe the CS check took above
-	// (InsertProbed re-probes only if a stale purge mutated the table);
-	// otherwise the PIT probes its own private table once here.
-	if !fused {
-		probe = f.pit.Probe(interest.Name)
-	}
-	outcome, tok := f.pit.InsertProbed(interest, from, now, &probe)
-	switch outcome {
+	// PIT.
+	switch f.pit.Insert(interest, from, now) {
 	case table.Aggregated:
 		f.stats.Aggregated++
 		if f.tel != nil {
@@ -648,16 +569,9 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 	}
 
 	upstream := interest
-	if interest.Scope > 1 || tok != interest.PITToken {
+	if interest.Scope > 1 {
 		cp := *interest
-		if cp.Scope > 1 {
-			cp.Scope--
-		}
-		// Stamp this node's own PIT entry token on the upstream copy, so
-		// the answering Data comes back carrying a direct table handle
-		// and satisfaction skips the hash probe (see pcct; the NDNLPv2
-		// PIT-token analog).
-		cp.PITToken = tok
+		cp.Scope--
 		upstream = &cp
 	}
 
@@ -736,10 +650,7 @@ func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 	}
 	now := f.sim.Now()
 
-	// The Data's PIT token — stamped by this node onto the upstream
-	// interest copy — resolves the pending entry directly; a zero or
-	// stale token degrades to the plain hash-probe sweep.
-	res, matched := f.pit.SatisfyByToken(data, data.PITToken, now)
+	res, matched := f.pit.Satisfy(data, now)
 	if !matched {
 		f.stats.Unsolicited++
 		if f.tel != nil {
@@ -769,9 +680,6 @@ func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 		// cache-manager state changes on later cached-draw paths (coin
 		// spans) parent under the hop that fetched the content.
 		entry.Data.TraceID, entry.Data.SpanID = res.Trace, res.Span
-		// The cached copy keeps no PIT token: tokens are hop-local and
-		// serve paths stamp the requester's own token on each response.
-		entry.Data.PITToken = 0
 		if res.PrivacyRequested && !entry.NonPrivateTrigger {
 			// Consumer-driven marking (Section V).
 			entry.Private = true
@@ -779,13 +687,11 @@ func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 		f.cm.OnContentCached(entry, fetchDelay, now)
 	}
 
-	for i, hop := range res.Faces {
+	for _, hop := range res.Faces {
 		down := data.Clone()
 		// Downstream copies carry the satisfied PIT entry's context, so
-		// the return path's link spans join the same trace — and each
-		// face's own PIT token, so the next node satisfies by handle too.
+		// the return path's link spans join the same trace.
 		down.TraceID, down.SpanID = res.Trace, res.Span
-		down.PITToken = res.Tokens[i]
 		f.sendData(hop, down)
 	}
 }

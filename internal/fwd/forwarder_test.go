@@ -538,6 +538,35 @@ func TestNoRouteDropped(t *testing.T) {
 	}
 }
 
+func TestTimedOutFetchReleasesWaiter(t *testing.T) {
+	sim := netsim.New(1)
+	host, err := NewBareHost(sim, "U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumer, err := NewConsumer(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeouts := 0
+	for i := 0; i < 3; i++ {
+		interest := ndn.NewInterest(ndn.MustParseName(fmt.Sprintf("/nowhere/%d", i%2)), 0)
+		interest.Lifetime = 50 * time.Millisecond
+		consumer.Fetch(interest, func(r FetchResult) {
+			if r.TimedOut {
+				timeouts++
+			}
+		})
+	}
+	sim.Run()
+	if timeouts != 3 {
+		t.Fatalf("timeouts = %d, want 3", timeouts)
+	}
+	if n := len(consumer.pending); n != 0 {
+		t.Errorf("%d pending keys left after every fetch timed out, want 0", n)
+	}
+}
+
 func TestRegisterPrefixUnknownFace(t *testing.T) {
 	sim := netsim.New(1)
 	f, err := New(Config{Name: "n", Sim: sim})

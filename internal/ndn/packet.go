@@ -80,13 +80,6 @@ type Interest struct {
 	// out of band, and the privacy adversary must not see them.
 	TraceID uint64
 	SpanID  uint64
-	// PITToken is the sender's composite-table entry token (see
-	// internal/pcct): a forwarder stamps its own PIT entry's token onto
-	// the upstream copy so the Data answer can come back with a direct
-	// table handle instead of a name re-probe. Zero means no token.
-	// Simulation-local like TraceID — real NDN forwarders exchange the
-	// equivalent hop-by-hop (NDNLPv2 PIT tokens), never in the interest.
-	PITToken uint64
 }
 
 // SpanContext returns the packet's span-propagation context.
@@ -151,11 +144,6 @@ type Data struct {
 	// never wire-encoded.
 	TraceID uint64
 	SpanID  uint64
-	// PITToken echoes the PITToken of the interest this Data answers,
-	// giving the receiving forwarder a direct composite-table handle for
-	// PIT satisfaction (see internal/pcct). Zero means no token.
-	// Simulation-local, never wire-encoded, like TraceID.
-	PITToken uint64
 }
 
 // SpanContext returns the packet's span-propagation context.

@@ -24,7 +24,6 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := tb.TokenOf(tb.Get(hot))
 	if n := testing.AllocsPerRun(200, func() {
 		if tb.Get(hot) == nil {
 			t.Fatal("Get missed")
@@ -32,12 +31,8 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 		if tb.GetView(&v) == nil {
 			t.Fatal("GetView missed")
 		}
-		if tb.ByToken(tok) == nil {
-			t.Fatal("ByToken missed")
-		}
-		p := tb.Probe(hot)
-		if p.Entry == nil {
-			t.Fatal("Probe missed")
+		if tb.Put(hot) == nil {
+			t.Fatal("Put missed")
 		}
 	}); n != 0 {
 		t.Errorf("lookup paths: %.0f allocs/run, want 0", n)
@@ -81,14 +76,14 @@ func TestPITFacetZeroAllocSteadyState(t *testing.T) {
 	// First cycle allocates the facet slices and the length counters.
 	e := tb.Put(nm)
 	pf := tb.AttachPIT(e)
-	pf.Faces = append(pf.Faces, FaceRec{Face: 1})
+	pf.Faces = append(pf.Faces, 1)
 	pf.Nonces = append(pf.Nonces, 1)
 	tb.DetachPIT(e)
 	tb.ReleaseIfEmpty(e)
 	if n := testing.AllocsPerRun(200, func() {
 		e := tb.Put(nm)
 		pf := tb.AttachPIT(e)
-		pf.Faces = append(pf.Faces, FaceRec{Face: 1, Token: 2})
+		pf.Faces = append(pf.Faces, 1)
 		pf.Nonces = append(pf.Nonces, 42)
 		tb.DetachPIT(e)
 		tb.ReleaseIfEmpty(e)

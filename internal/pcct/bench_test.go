@@ -40,7 +40,7 @@ func BenchmarkPCCTNameInsert(b *testing.B) {
 }
 
 // BenchmarkPCCTLookupHit measures the one-probe exact lookup over a
-// populated table — the per-interest cost of the fused fast path.
+// populated table — the per-interest cost of a CS or PIT name lookup.
 func BenchmarkPCCTLookupHit(b *testing.B) {
 	names := benchNames(1000)
 	tb := New(PolicyLRU)

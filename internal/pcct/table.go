@@ -1,18 +1,16 @@
-// Package pcct implements the PIT-CS composite table: a single
-// open-addressing hash table, keyed by the rolling-FNV name hashes the
-// zero-copy NameView layer precomputes, whose entries carry two
-// independent facets — a Content Store facet (payload + intrusive
-// eviction-policy links + a sorted prefix-index slot) and a PIT facet
-// (downstream faces, nonces, expiry). The design follows ndn-dpdk's
-// PCCT (csrc/pcct): one hash probe per arriving interest resolves
-// CS-check, PIT-aggregate and PIT-insert, and a Data packet can carry a
-// direct entry token back instead of re-probing.
+// Package pcct implements the hash-indexed name table behind the
+// Content Store and the PIT: a single open-addressing hash table, keyed
+// by the rolling-FNV name hashes the zero-copy NameView layer
+// precomputes, whose entries carry a Content Store facet (payload +
+// intrusive eviction-policy links + a sorted prefix-index slot) and a
+// PIT facet (downstream faces, nonces, expiry). The layout follows
+// ndn-dpdk's PCCT (csrc/pcct), but a forwarder runs its CS and its PIT
+// on two separate tables, each using one facet: the interest pipeline
+// is the plain CS → PIT → FIB sequence of the paper's Section II.
 //
 // Entries live in a chunked arena with a free list, so steady-state
 // insert/remove churn allocates nothing and entry pointers stay stable
-// across growth. Tokens are (generation, arena id) pairs: a recycled
-// entry bumps its generation, so stale tokens are detected instead of
-// resolving to the wrong name.
+// across growth.
 //
 // Nothing in this package iterates a Go map — bucket probing, the
 // policy lists and the sorted prefix index are all slice-backed — so
@@ -39,14 +37,6 @@ const (
 	minBuckets = 64
 )
 
-// FaceRec records one downstream face awaiting content, together with
-// the PIT token that face's node attached to its interest (zero when
-// the face is an application or a node without token support).
-type FaceRec struct {
-	Face  int64
-	Token uint64
-}
-
 // PITFacet is the pending-interest side of a composite entry. Slices
 // are retained (length-reset) across entry lifecycles, so steady-state
 // PIT churn reuses their backing arrays instead of reallocating.
@@ -64,9 +54,9 @@ type PITFacet struct {
 	// Trace and Span carry the entry-creating interest's span context.
 	Trace uint64
 	Span  uint64
-	// Faces are the downstream faces awaiting the content, with their
-	// tokens; Nonces deduplicate looped or retransmitted interests.
-	Faces  []FaceRec
+	// Faces are the downstream face IDs awaiting the content; Nonces
+	// deduplicate looped or retransmitted interests.
+	Faces  []int64
 	Nonces []uint64
 }
 
@@ -77,7 +67,6 @@ type Entry struct {
 	hash uint64
 	name ndn.Name
 	id   int32
-	gen  uint32
 	live bool
 
 	// CS facet: payload plus intrusive policy-list links. csNext doubles
@@ -112,15 +101,11 @@ func (e *Entry) PITActive() bool { return e.pit.Active }
 func (e *Entry) PIT() *PITFacet { return &e.pit }
 
 // Table is the composite table. See the package comment for the
-// design; one Table may serve a Content Store, a PIT, or both at once
-// (the fused forwarder fast path).
+// design; a Content Store uses its CS facets, a PIT its PIT facets.
 type Table struct {
 	buckets []int32
 	mask    uint32
 	used    int
-	// mut counts structural mutations (insert/release/grow); a Probe
-	// taken at one mut value is only trusted while mut is unchanged.
-	mut uint64
 
 	chunks [][]Entry
 	next   int32
@@ -188,7 +173,7 @@ func (t *Table) at(id int32) *Entry {
 // name hash selects the probe start; membership is verified by full
 // name comparison.
 //
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
+//ndnlint:hotpath — the CS and PIT name probe; must not allocate
 func (t *Table) Get(name ndn.Name) *Entry {
 	h := name.Hash()
 	i := uint32(h) & t.mask
@@ -246,72 +231,29 @@ func (t *Table) GetPrefix(h uint64, k int, of ndn.Name) *Entry {
 	}
 }
 
-// Probe records the result of one hash probe: the entry if found, and
-// otherwise the bucket slot where that name would be inserted. The slot
-// is trusted only while the table's mutation counter is unchanged —
-// PutProbed re-probes when it isn't.
-type Probe struct {
-	// Entry is the found entry, nil on a miss.
-	Entry *Entry
-	hash  uint64
-	slot  uint32
-	mut   uint64
-}
-
-// Probe looks up name and captures the probe position, so a subsequent
-// PutProbed needs no second hash probe. This is the fused-path
-// primitive: the forwarder probes once per arriving interest and
-// resolves CS-check, PIT-aggregate and PIT-insert from the result.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
-func (t *Table) Probe(name ndn.Name) Probe {
+// Put returns the entry for name, creating a facet-less entry if none
+// exists. The table grows before probing, so a probe that misses ends
+// on the empty slot the new entry takes.
+func (t *Table) Put(name ndn.Name) *Entry {
+	if (t.used+1)*4 > len(t.buckets)*3 {
+		t.grow()
+	}
 	h := name.Hash()
 	i := uint32(h) & t.mask
 	for {
 		id := t.buckets[i]
 		if id == nilID {
-			return Probe{hash: h, slot: i, mut: t.mut}
+			break
 		}
 		e := t.at(id)
 		if e.hash == h && e.name.Equal(name) {
-			return Probe{Entry: e, hash: h, slot: i, mut: t.mut}
+			return e
 		}
 		i = (i + 1) & t.mask
 	}
-}
-
-// Valid reports whether the probe may still be used against t without
-// re-probing.
-func (p *Probe) Valid(t *Table) bool { return p.mut == t.mut }
-
-// Put returns the entry for name, creating a facet-less entry if none
-// exists.
-func (t *Table) Put(name ndn.Name) *Entry {
-	p := t.Probe(name)
-	return t.PutProbed(&p, name)
-}
-
-// PutProbed is Put reusing an earlier probe: when the table is
-// unchanged since the probe, a hit costs nothing and a miss inserts at
-// the remembered slot without a second probe. The probe is updated to
-// stay valid for the caller's next step.
-func (t *Table) PutProbed(p *Probe, name ndn.Name) *Entry {
-	if p.mut != t.mut {
-		*p = t.Probe(name)
-	}
-	if p.Entry != nil {
-		return p.Entry
-	}
-	if (t.used+1)*4 > len(t.buckets)*3 {
-		t.grow()
-		*p = t.Probe(name)
-	}
-	id, e := t.alloc(p.hash, name)
-	t.buckets[p.slot] = id
+	id, e := t.alloc(h, name)
+	t.buckets[i] = id
 	t.used++
-	t.mut++
-	p.Entry = e
-	p.mut = t.mut
 	return e
 }
 
@@ -341,20 +283,17 @@ func (t *Table) alloc(h uint64, name ndn.Name) (int32, *Entry) {
 
 // ReleaseIfEmpty frees the entry once both facets are detached; an
 // entry still carrying a facet is left alone. Freed entries keep their
-// PIT slices for reuse and bump their generation so outstanding tokens
-// die.
+// PIT slices for reuse.
 func (t *Table) ReleaseIfEmpty(e *Entry) {
 	if !e.live || e.csData != nil || e.pit.Active {
 		return
 	}
 	t.eraseSlotOf(e)
 	e.live = false
-	e.gen++
 	e.name = ndn.Name{}
 	e.csNext = t.free
 	t.free = e.id
 	t.used--
-	t.mut++
 }
 
 // eraseSlotOf removes e's bucket slot using backward-shift deletion, so
@@ -392,7 +331,7 @@ func (t *Table) eraseSlotOf(e *Entry) {
 }
 
 // grow doubles the bucket array and rehashes every live entry. Entry
-// storage (the arena) is untouched, so pointers and tokens survive.
+// storage (the arena) is untouched, so entry pointers survive.
 func (t *Table) grow() {
 	old := t.buckets
 	t.buckets = make([]int32, len(old)*2)
@@ -410,33 +349,6 @@ func (t *Table) grow() {
 		}
 		t.buckets[i] = id
 	}
-	t.mut++
-}
-
-// TokenOf returns the entry's direct-access token: nonzero, unique for
-// the entry's current lifetime, and detectably stale after the entry is
-// released.
-func (t *Table) TokenOf(e *Entry) uint64 {
-	return uint64(e.gen)<<32 | uint64(uint32(e.id)+1)
-}
-
-// ByToken resolves a token to its live entry, or nil when the token is
-// zero, malformed, or from a previous lifetime of the slot.
-//
-//ndnlint:hotpath — token-carrying Data fast path; must not allocate
-func (t *Table) ByToken(tok uint64) *Entry {
-	if tok == 0 {
-		return nil
-	}
-	idx := uint32(tok) - 1
-	if int32(idx) < 0 || int32(idx) >= t.next {
-		return nil
-	}
-	e := t.at(int32(idx))
-	if !e.live || e.gen != uint32(tok>>32) {
-		return nil
-	}
-	return e
 }
 
 // AttachCS installs the CS facet: payload, policy-list membership and a

@@ -96,61 +96,6 @@ func TestGetPrefixRollingHash(t *testing.T) {
 	}
 }
 
-func TestTokenLifecycle(t *testing.T) {
-	tb := New(PolicyLRU)
-	e := tb.Put(name("/tok"))
-	tok := tb.TokenOf(e)
-	if tok == 0 {
-		t.Fatal("token must be nonzero")
-	}
-	if tb.ByToken(tok) != e {
-		t.Fatal("token did not resolve to its entry")
-	}
-	if tb.ByToken(0) != nil || tb.ByToken(tok+1<<32) != nil {
-		t.Fatal("invalid token resolved")
-	}
-	tb.ReleaseIfEmpty(e)
-	if tb.ByToken(tok) != nil {
-		t.Fatal("stale token resolved after release")
-	}
-	// Recycle the slot under a different name: the old token must stay
-	// dead and the new token must resolve.
-	e2 := tb.Put(name("/tok2"))
-	if tb.ByToken(tok) != nil {
-		t.Fatal("stale token resolved against recycled slot")
-	}
-	if tb.ByToken(tb.TokenOf(e2)) != e2 {
-		t.Fatal("fresh token did not resolve")
-	}
-}
-
-func TestProbeInsertReuse(t *testing.T) {
-	tb := New(PolicyLRU)
-	n := name("/probe/x")
-	p := tb.Probe(n)
-	if p.Entry != nil {
-		t.Fatal("probe of empty table found an entry")
-	}
-	e := tb.PutProbed(&p, n)
-	if e == nil || tb.Get(n) != e {
-		t.Fatal("PutProbed did not insert")
-	}
-	if !p.Valid(tb) || p.Entry != e {
-		t.Fatal("probe not updated after insert")
-	}
-	// A mutated table invalidates the probe; PutProbed must re-probe
-	// rather than clobber a bucket.
-	p2 := tb.Probe(name("/probe/y"))
-	tb.Put(name("/probe/z"))
-	if p2.Valid(tb) {
-		t.Fatal("probe still valid after mutation")
-	}
-	e2 := tb.PutProbed(&p2, name("/probe/y"))
-	if tb.Get(name("/probe/y")) != e2 || tb.Get(name("/probe/z")) == nil || tb.Get(n) != e {
-		t.Fatal("stale-probe insert corrupted the table")
-	}
-}
-
 // TestChurnAgainstMap drives random insert/lookup/delete against a map
 // reference, crossing several growth and backward-shift boundaries.
 func TestChurnAgainstMap(t *testing.T) {
@@ -268,7 +213,7 @@ func TestPITFacetCounts(t *testing.T) {
 	}
 	// Slices are retained across lifecycles.
 	pf := b.PIT()
-	pf.Faces = append(pf.Faces, FaceRec{Face: 3, Token: 9})
+	pf.Faces = append(pf.Faces, 3)
 	pf.Nonces = append(pf.Nonces, 77)
 	tb.DetachPIT(b)
 	pf2 := tb.AttachPIT(b)

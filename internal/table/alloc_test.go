@@ -72,8 +72,8 @@ func TestPITDuplicateNonceZeroAlloc(t *testing.T) {
 }
 
 func TestPITInsertSatisfyChurnZeroAlloc(t *testing.T) {
-	// The full steady-state PIT lifecycle — probe, admit, satisfy by
-	// token — must not allocate: entries come from the table arena's
+	// The full steady-state PIT lifecycle — admit, then satisfy — must
+	// not allocate: entries come from the table arena's
 	// free list, facets from the facet pool, and the face/nonce/result
 	// slices retain their backing across lifecycles.
 	p := NewPIT()
@@ -85,16 +85,14 @@ func TestPITInsertSatisfyChurnZeroAlloc(t *testing.T) {
 	}
 	// Prime one lifecycle so arena, pool and buffers reach capacity.
 	p.Insert(interest, 1, 0)
-	if _, ok := p.SatisfyWithInfo(d, 0); !ok {
+	if _, ok := p.Satisfy(d, 0); !ok {
 		t.Fatal("prime satisfaction failed")
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		pr := p.Probe(interest.Name)
-		_, tok := p.InsertProbed(interest, 1, 0, &pr)
-		if tok == 0 {
-			t.Fatal("no token returned")
+		if p.Insert(interest, 1, 0) != InsertedNew {
+			t.Fatal("admission failed")
 		}
-		if _, ok := p.SatisfyByToken(d, tok, 0); !ok {
+		if _, ok := p.Satisfy(d, 0); !ok {
 			t.Fatal("satisfaction failed")
 		}
 	}); n != 0 {

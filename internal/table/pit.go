@@ -44,14 +44,10 @@ func (o InsertOutcome) String() string {
 	}
 }
 
-// PIT is the Pending Interest Table, backed by the PIT facets of a
-// PIT-CS composite table (internal/pcct). A forwarder normally runs the
-// PIT on the same table as its Content Store (NewPITOn), so one hash
-// probe per arriving interest resolves CS-check, PIT-aggregate and
-// PIT-insert together; NewPIT builds a private table for standalone
-// use. Time is supplied by the caller as a virtual-clock offset so the
-// table works under the discrete-event simulator. PIT is not safe for
-// concurrent use.
+// PIT is the Pending Interest Table, backed by the PIT facets of its own
+// hash-indexed name table (internal/pcct). Time is supplied by the
+// caller as a virtual-clock offset so the table works under the
+// discrete-event simulator. PIT is not safe for concurrent use.
 type PIT struct {
 	t        *pcct.Table
 	capacity int
@@ -61,26 +57,16 @@ type PIT struct {
 	sink    telemetry.Sink
 	node    string
 
-	// facesBuf and tokensBuf are the reused, parallel result slices
-	// SatisfyWithInfo hands out: facesBuf[i] awaits the content and
-	// tokensBuf[i] is that face's downstream PIT token (zero when the
-	// face is an application). Both are valid until the next Satisfy
-	// call. expireBuf is the reused Expire sweep scratch.
+	// facesBuf is the reused result slice Satisfy hands out, valid
+	// until the next Satisfy call. expireBuf is the reused Expire sweep
+	// scratch.
 	facesBuf  []FaceID
-	tokensBuf []uint64
 	expireBuf []*pcct.Entry
 }
 
-// NewPIT returns an empty, unbounded PIT on its own private table.
+// NewPIT returns an empty, unbounded PIT.
 func NewPIT() *PIT {
-	return NewPITOn(pcct.New(pcct.PolicyLRU))
-}
-
-// NewPITOn returns an empty, unbounded PIT running on t — typically a
-// Content Store's table (cache.Store.Table), fusing both tables'
-// lookups into one probe.
-func NewPITOn(t *pcct.Table) *PIT {
-	return &PIT{t: t, expired: telemetry.NewCounter()}
+	return &PIT{t: pcct.New(pcct.PolicyLRU), expired: telemetry.NewCounter()}
 }
 
 // Instrument registers the table's expiry counter on the registry under
@@ -100,8 +86,7 @@ func (p *PIT) Instrument(reg *telemetry.Registry, sink telemetry.Sink, node stri
 // unanswered.
 func (p *PIT) Expired() uint64 { return p.expired.Value() }
 
-// expireEntry removes one lapsed entry and accounts for it. The table
-// entry survives if a CS facet shares it.
+// expireEntry removes one lapsed entry and accounts for it.
 func (p *PIT) expireEntry(e *pcct.Entry, now time.Duration) {
 	key := e.Name().Key()
 	p.t.DetachPIT(e)
@@ -140,87 +125,59 @@ func (p *PIT) Len() int { return p.t.LenPIT() }
 // waived below), so aggregation and duplicate-nonce handling stay
 // allocation-free.
 //
-//ndnlint:hotpath — runs on every arriving Interest
-func (p *PIT) Insert(interest *ndn.Interest, face FaceID, now time.Duration) InsertOutcome {
-	pr := p.t.Probe(interest.Name)
-	outcome, _ := p.InsertProbed(interest, face, now, &pr)
-	return outcome
-}
-
-// Probe captures one hash probe of the PIT's table for name, for use
-// with InsertProbed. Forwarders whose PIT shares the Content Store's
-// table reuse the store's probe instead.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
-func (p *PIT) Probe(name ndn.Name) pcct.Probe { return p.t.Probe(name) }
-
-// InsertProbed is Insert reusing an earlier probe of interest.Name —
-// the fused fast path: the forwarder probes once, checks the CS via the
-// same probe, and inserts here without re-hashing. It additionally
-// returns the entry's direct-access token (for InsertedNew and
-// Aggregated outcomes): the forwarder stamps it on the upstream copy so
-// the answering Data can come back with a table handle.
-//
 //ndnlint:hotpath — runs on every arriving Interest; admission allocations waived below
-func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duration, pr *pcct.Probe) (InsertOutcome, uint64) {
+func (p *PIT) Insert(interest *ndn.Interest, face FaceID, now time.Duration) InsertOutcome {
 	lifetime := interest.Lifetime
 	if lifetime <= 0 {
 		lifetime = ndn.DefaultInterestLifetime
 	}
-	if !pr.Valid(p.t) {
-		*pr = p.t.Probe(interest.Name)
-	}
-	e := pr.Entry
-	if e != nil && e.PITActive() && now >= e.PIT().Expires {
-		// Stale entry: treat as absent. The release may recycle the
-		// whole entry (no CS facet), invalidating the probe; PutProbed
-		// below re-probes.
+	e := p.t.Get(interest.Name)
+	if e != nil && now >= e.PIT().Expires {
+		// Stale entry: treat as absent.
 		p.expireEntry(e, now)
+		e = nil
 	}
-	if e == nil || !e.PITActive() {
+	if e == nil {
 		if p.capacity > 0 && p.t.LenPIT() >= p.capacity {
 			// Reclaim expired entries before refusing admission.
 			p.Expire(now) //ndnlint:allow alloccheck — capacity reclaim is the slow path
 			if p.t.LenPIT() >= p.capacity {
 				p.rejected++
-				return RejectedFull, 0
+				return RejectedFull
 			}
 		}
-		e = p.t.PutProbed(pr, interest.Name) //ndnlint:allow alloccheck — new-entry admission allocates by design
+		e = p.t.Put(interest.Name) //ndnlint:allow alloccheck — new-entry admission allocates by design
 		pf := p.t.AttachPIT(e)
 		pf.Expires = now + lifetime
 		pf.Created = now
 		pf.Privacy = interest.Privacy == ndn.PrivacyRequested
 		pf.Trace = interest.TraceID
 		pf.Span = interest.SpanID
-		pf.Faces = append(pf.Faces, pcct.FaceRec{Face: int64(face), Token: interest.PITToken}) //ndnlint:allow alloccheck — new-entry admission; backing array reused across lifecycles
-		pf.Nonces = append(pf.Nonces, interest.Nonce)                                          //ndnlint:allow alloccheck — new-entry admission; backing array reused across lifecycles
-		return InsertedNew, p.t.TokenOf(e)
+		pf.Faces = append(pf.Faces, int64(face))      //ndnlint:allow alloccheck — new-entry admission; backing array reused across lifecycles
+		pf.Nonces = append(pf.Nonces, interest.Nonce) //ndnlint:allow alloccheck — new-entry admission; backing array reused across lifecycles
+		return InsertedNew
 	}
 	pf := e.PIT()
 	for _, nonce := range pf.Nonces {
 		if nonce == interest.Nonce {
-			return DuplicateNonce, 0
+			return DuplicateNonce
 		}
 	}
 	pf.Nonces = append(pf.Nonces, interest.Nonce) //ndnlint:allow alloccheck — nonce list bounded by in-flight retransmissions
 	recorded := false
-	for i := range pf.Faces {
-		if pf.Faces[i].Face == int64(face) {
-			if interest.PITToken != 0 {
-				pf.Faces[i].Token = interest.PITToken
-			}
+	for _, f := range pf.Faces {
+		if f == int64(face) {
 			recorded = true
 			break
 		}
 	}
 	if !recorded {
-		pf.Faces = append(pf.Faces, pcct.FaceRec{Face: int64(face), Token: interest.PITToken}) //ndnlint:allow alloccheck — face list bounded by the node's degree
+		pf.Faces = append(pf.Faces, int64(face)) //ndnlint:allow alloccheck — face list bounded by the node's degree
 	}
 	if exp := now + lifetime; exp > pf.Expires {
 		pf.Expires = exp
 	}
-	return Aggregated, p.t.TokenOf(e)
+	return Aggregated
 }
 
 // SatisfyResult describes the pending entries one Data packet consumed.
@@ -228,10 +185,6 @@ type SatisfyResult struct {
 	// Faces is the union of downstream faces awaiting the content,
 	// sorted ascending. The slice is reused by the next Satisfy call.
 	Faces []FaceID
-	// Tokens runs parallel to Faces: Tokens[i] is the downstream PIT
-	// token face i attached to its interest (zero when the face is an
-	// application or sent no token). Reused like Faces.
-	Tokens []uint64
 	// FirstCreated is the earliest creation time among consumed
 	// entries; now − FirstCreated is the router's observed fetch delay.
 	FirstCreated time.Duration
@@ -245,52 +198,23 @@ type SatisfyResult struct {
 }
 
 // Satisfy consumes every pending entry that the given content satisfies
-// and returns the union of their downstream faces. Matching follows the
-// NDN rule: a pending interest for X is satisfied by content named X' iff
-// X is a prefix of X' (honoring the unpredictable-suffix restriction via
-// ndn.Data.Matches). Expired entries never match. The returned slice is
-// reused by the next Satisfy call.
-func (p *PIT) Satisfy(data *ndn.Data, now time.Duration) []FaceID {
-	res, matched := p.SatisfyWithInfo(data, now)
-	if !matched {
-		return nil
-	}
-	return res.Faces
-}
-
-// SatisfyWithInfo is Satisfy plus the timing/privacy metadata the
-// forwarder needs for caching decisions. See SatisfyByToken for the
-// token-assisted variant.
-//
-//ndnlint:hotpath — runs on every arriving Data; must not allocate in steady state
-func (p *PIT) SatisfyWithInfo(data *ndn.Data, now time.Duration) (SatisfyResult, bool) {
-	return p.SatisfyByToken(data, 0, now)
-}
-
-// SatisfyByToken is SatisfyWithInfo with a direct-access hint: tok, when
-// nonzero, is the PIT token this Data carried back (stamped on the
-// interest by InsertProbed). A valid token substitutes for the hash
-// probe at its entry's prefix length; the k-ascending sweep and its
-// event order are unchanged, so a token is purely an optimization —
-// stale or foreign tokens are ignored.
+// and reports the union of their downstream faces together with the
+// timing/privacy metadata the forwarder needs for caching decisions;
+// the bool is false when nothing matched. Matching follows the NDN
+// rule: a pending interest for X is satisfied by content named X' iff X
+// is a prefix of X' (honoring the unpredictable-suffix restriction via
+// ndn.Data.Matches). Expired entries never match.
 //
 // Prefix candidates are probed by rolling hash (see
 // ndn.MixComponentHash) and gated by the table's per-length facet
 // counts, so the match path neither materializes prefix names nor
-// probes lengths with nothing pending. The result's face and token
-// slices are reused buffers: sorted by face, deduplicated, valid until
-// the next Satisfy call — steady-state satisfaction allocates nothing.
+// probes lengths with nothing pending. The result's face slice is a
+// reused buffer: sorted, deduplicated, valid until the next Satisfy
+// call — steady-state satisfaction allocates nothing.
 //
 //ndnlint:hotpath — runs on every arriving Data; must not allocate in steady state
-func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (SatisfyResult, bool) {
-	var tokEntry *pcct.Entry
-	if tok != 0 {
-		if e := p.t.ByToken(tok); e != nil && e.PITActive() && e.Name().IsPrefixOf(data.Name) {
-			tokEntry = e
-		}
-	}
+func (p *PIT) Satisfy(data *ndn.Data, now time.Duration) (SatisfyResult, bool) {
 	p.facesBuf = p.facesBuf[:0]
-	p.tokensBuf = p.tokensBuf[:0]
 	var res SatisfyResult
 	matched := false
 	// Candidate entries are exactly the prefixes of the data name. The
@@ -299,38 +223,31 @@ func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (Sat
 	// (k+1)-prefix hash, matching what Insert cached via Name.Hash.
 	h := ndn.NameHashSeed()
 	for k := 0; ; k++ {
-		var hit *pcct.Entry
-		switch {
-		case tokEntry != nil && tokEntry.Name().Len() == k:
-			hit = tokEntry
-		case p.t.PITLenAt(k) > 0:
-			// Names are unique, so at most one entry is the exact
-			// k-prefix of the data name.
-			if e := p.t.GetPrefix(h, k, data.Name); e != nil && e.PITActive() {
-				hit = e
-			}
-		}
-		if hit != nil {
-			pf := hit.PIT()
-			switch {
-			case now >= pf.Expires:
-				p.expireEntry(hit, now)
-			case !data.MatchesName(hit.Name()):
-				// Unpredictable-suffix restriction: a shorter pending
-				// prefix must not consume /…/<rand> content.
-			default:
-				if !matched || pf.Created < res.FirstCreated {
-					res.FirstCreated = pf.Created
-					res.PrivacyRequested = pf.Privacy
-					res.Trace = pf.Trace
-					res.Span = pf.Span
+		// Names are unique, so at most one entry is the exact k-prefix
+		// of the data name.
+		if p.t.PITLenAt(k) > 0 {
+			if hit := p.t.GetPrefix(h, k, data.Name); hit != nil {
+				pf := hit.PIT()
+				switch {
+				case now >= pf.Expires:
+					p.expireEntry(hit, now)
+				case !data.MatchesName(hit.Name()):
+					// Unpredictable-suffix restriction: a shorter pending
+					// prefix must not consume /…/<rand> content.
+				default:
+					if !matched || pf.Created < res.FirstCreated {
+						res.FirstCreated = pf.Created
+						res.PrivacyRequested = pf.Privacy
+						res.Trace = pf.Trace
+						res.Span = pf.Span
+					}
+					matched = true
+					for _, f := range pf.Faces {
+						p.addFace(FaceID(f))
+					}
+					p.t.DetachPIT(hit)
+					p.t.ReleaseIfEmpty(hit)
 				}
-				matched = true
-				for _, fr := range pf.Faces {
-					p.addFace(FaceID(fr.Face), fr.Token)
-				}
-				p.t.DetachPIT(hit)
-				p.t.ReleaseIfEmpty(hit)
 			}
 		}
 		if k == data.Name.Len() {
@@ -341,52 +258,44 @@ func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (Sat
 	if !matched {
 		return SatisfyResult{}, false
 	}
-	// Sort by face so downstream sends happen in a seed-stable order;
-	// tokens travel with their faces. Insertion sort: face lists are a
-	// handful of elements and the buffers must not allocate.
+	// Sort so downstream sends happen in a seed-stable order. Insertion
+	// sort: face lists are a handful of elements and the buffer must not
+	// allocate.
 	for i := 1; i < len(p.facesBuf); i++ {
-		f, t := p.facesBuf[i], p.tokensBuf[i]
+		f := p.facesBuf[i]
 		j := i - 1
 		for j >= 0 && p.facesBuf[j] > f {
-			p.facesBuf[j+1], p.tokensBuf[j+1] = p.facesBuf[j], p.tokensBuf[j]
+			p.facesBuf[j+1] = p.facesBuf[j]
 			j--
 		}
-		p.facesBuf[j+1], p.tokensBuf[j+1] = f, t
+		p.facesBuf[j+1] = f
 	}
 	res.Faces = p.facesBuf
-	res.Tokens = p.tokensBuf
 	return res, true
 }
 
-// addFace records one downstream face in the reused result buffers,
-// deduplicating across consumed entries. The first nonzero token for a
-// face wins (any of the downstream node's live tokens serves as a
-// satisfaction hint there).
+// addFace records one downstream face in the reused result buffer,
+// deduplicating across consumed entries.
 //
 //ndnlint:hotpath — per-face step of Data satisfaction; must not allocate
-func (p *PIT) addFace(f FaceID, tok uint64) {
-	for i := range p.facesBuf {
-		if p.facesBuf[i] == f {
-			if p.tokensBuf[i] == 0 {
-				p.tokensBuf[i] = tok
-			}
+func (p *PIT) addFace(f FaceID) {
+	for _, have := range p.facesBuf {
+		if have == f {
 			return
 		}
 	}
 	if len(p.facesBuf) == cap(p.facesBuf) {
-		p.growFaceBufs()
+		p.growFaceBuf()
 	}
 	n := len(p.facesBuf)
 	p.facesBuf = p.facesBuf[:n+1]
-	p.tokensBuf = p.tokensBuf[:n+1]
 	p.facesBuf[n] = f
-	p.tokensBuf[n] = tok
 }
 
-// growFaceBufs extends the result buffers off the hot path; after the
+// growFaceBuf extends the result buffer off the hot path; after the
 // first few Data arrivals the capacity covers the node's degree and
 // steady state never returns here.
-func (p *PIT) growFaceBufs() {
+func (p *PIT) growFaceBuf() {
 	nc := 2 * cap(p.facesBuf)
 	if nc == 0 {
 		nc = 8
@@ -394,9 +303,6 @@ func (p *PIT) growFaceBufs() {
 	faces := make([]FaceID, len(p.facesBuf), nc) //ndnlint:allow alloccheck — amortized one-time buffer growth
 	copy(faces, p.facesBuf)
 	p.facesBuf = faces
-	tokens := make([]uint64, len(p.tokensBuf), nc) //ndnlint:allow alloccheck — amortized one-time buffer growth
-	copy(tokens, p.tokensBuf)
-	p.tokensBuf = tokens
 }
 
 // HasPending reports whether an unexpired entry exists for exactly name.

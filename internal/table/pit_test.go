@@ -22,6 +22,12 @@ func data(t *testing.T, name string) *ndn.Data {
 	return d
 }
 
+// satisfied returns the faces Satisfy reports, nil when nothing matched.
+func satisfied(p *PIT, d *ndn.Data, now time.Duration) []FaceID {
+	res, _ := p.Satisfy(d, now)
+	return res.Faces
+}
+
 func TestPITInsertNew(t *testing.T) {
 	p := NewPIT()
 	if got := p.Insert(interest("/a", 1), 10, 0); got != InsertedNew {
@@ -41,7 +47,7 @@ func TestPITAggregation(t *testing.T) {
 	if p.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (collapsed)", p.Len())
 	}
-	faces := p.Satisfy(data(t, "/a"), 0)
+	faces := satisfied(p, data(t, "/a"), 0)
 	sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
 	if len(faces) != 2 || faces[0] != 10 || faces[1] != 20 {
 		t.Errorf("Satisfy = %v, want [10 20]", faces)
@@ -67,7 +73,7 @@ func TestPITRetransmissionWithNewNonce(t *testing.T) {
 func TestPITSatisfyPrefixMatch(t *testing.T) {
 	p := NewPIT()
 	p.Insert(interest("/cnn/news", 1), 10, 0)
-	faces := p.Satisfy(data(t, "/cnn/news/2013may20"), 0)
+	faces := satisfied(p, data(t, "/cnn/news/2013may20"), 0)
 	if len(faces) != 1 || faces[0] != 10 {
 		t.Errorf("prefix satisfy = %v, want [10]", faces)
 	}
@@ -81,7 +87,7 @@ func TestPITSatisfyMultipleEntries(t *testing.T) {
 	p.Insert(interest("/cnn", 1), 10, 0)
 	p.Insert(interest("/cnn/news", 2), 20, 0)
 	p.Insert(interest("/cnn/sports", 3), 30, 0)
-	faces := p.Satisfy(data(t, "/cnn/news/today"), 0)
+	faces := satisfied(p, data(t, "/cnn/news/today"), 0)
 	sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
 	if len(faces) != 2 || faces[0] != 10 || faces[1] != 20 {
 		t.Errorf("Satisfy = %v, want [10 20]", faces)
@@ -94,7 +100,7 @@ func TestPITSatisfyMultipleEntries(t *testing.T) {
 func TestPITSatisfyNoMatch(t *testing.T) {
 	p := NewPIT()
 	p.Insert(interest("/cnn/news", 1), 10, 0)
-	if faces := p.Satisfy(data(t, "/bbc/news"), 0); faces != nil {
+	if faces := satisfied(p, data(t, "/bbc/news"), 0); faces != nil {
 		t.Errorf("Satisfy = %v, want nil", faces)
 	}
 	if p.Len() != 1 {
@@ -106,7 +112,7 @@ func TestPITSatisfyDedupesFaces(t *testing.T) {
 	p := NewPIT()
 	p.Insert(interest("/cnn", 1), 10, 0)
 	p.Insert(interest("/cnn/news", 2), 10, 0)
-	faces := p.Satisfy(data(t, "/cnn/news"), 0)
+	faces := satisfied(p, data(t, "/cnn/news"), 0)
 	if len(faces) != 1 || faces[0] != 10 {
 		t.Errorf("Satisfy = %v, want deduped [10]", faces)
 	}
@@ -123,7 +129,7 @@ func TestPITExpiry(t *testing.T) {
 	if p.HasPending(ndn.MustParseName("/a"), time.Second) {
 		t.Error("entry still pending at expiry")
 	}
-	if faces := p.Satisfy(data(t, "/a"), 2*time.Second); faces != nil {
+	if faces := satisfied(p, data(t, "/a"), 2*time.Second); faces != nil {
 		t.Errorf("expired entry satisfied: %v", faces)
 	}
 }
@@ -191,12 +197,12 @@ func TestPITUnpredictableSuffixNotSatisfiedByPrefix(t *testing.T) {
 
 	p := NewPIT()
 	p.Insert(interest("/alice/skype", 1), 10, 0)
-	if faces := p.Satisfy(d, 0); faces != nil {
+	if faces := satisfied(p, d, 0); faces != nil {
 		t.Errorf("rand-suffixed data satisfied prefix interest: %v", faces)
 	}
 	// But an exact-name interest is satisfied.
 	p.Insert(ndn.NewInterest(randName, 2), 20, 0)
-	if faces := p.Satisfy(d, 0); len(faces) != 1 || faces[0] != 20 {
+	if faces := satisfied(p, d, 0); len(faces) != 1 || faces[0] != 20 {
 		t.Errorf("exact interest not satisfied: %v", faces)
 	}
 }

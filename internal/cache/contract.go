@@ -38,8 +38,8 @@ type ContentStore interface {
 	Capacity() int
 	// PolicyName names the eviction policy for diagnostics.
 	PolicyName() string
-	// Names returns the full names of all cached objects in
-	// deterministic (sorted index) order.
+	// Names returns the full names of all cached objects in name
+	// order.
 	Names() []ndn.Name
 	// Activity counters, shared with the telemetry registry once
 	// Instrument has been called.

@@ -415,6 +415,17 @@ func buildDiffUniverse() []diffObject {
 	add("/cnn/news/item0/seg0", 0)
 	add("/cnn/news/item0/seg1", 5*time.Millisecond)
 	add("/bbc/sport/football/live/now", 0)
+	// Unpredictable suffixes (footnote 5): exact-only names that sort
+	// between /bbc/item* and /bbc/sport, one with a name cached below
+	// it, so prefix matches must skip or purge them in name order.
+	ss, err := ndn.NewSharedSecret([]byte("diff"))
+	if err != nil {
+		panic(err)
+	}
+	for seq := uint64(0); seq < 3; seq++ {
+		add(ss.UnpredictableName(ndn.MustParseName("/bbc"), seq).String(), freshCycle[seq])
+	}
+	add(ss.UnpredictableName(ndn.MustParseName("/bbc"), 0).String()+"/seg0", 0)
 	return objects
 }
 
@@ -529,10 +540,10 @@ func tailOf(events []string) []string {
 
 // nameIndex is a component trie over cached full names supporting
 // enumeration of all names under a prefix in lexicographic order. The
-// live store uses a sorted prefix index instead
-// (pcct.Table.CSLowerBound); the trie is the independently-grown
-// structure the reference store uses, which is exactly what makes the
-// differential test meaningful.
+// live store uses the name tree inside its hash table instead (unsorted
+// child lists plus a cached subtree minimum); the trie is the
+// independently-grown structure the reference store uses, which is
+// exactly what makes the differential test meaningful.
 type nameIndex struct {
 	root *indexNode
 }

@@ -9,7 +9,7 @@
 // The store is a facade over a hash-indexed name table
 // (internal/pcct): entries live in the table's pooled arena, eviction
 // policies are the table's intrusive lists, and prefix matching walks
-// the table's sorted index.
+// the table's name tree.
 package cache
 
 import "ndnprivacy/internal/pcct"

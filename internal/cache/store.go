@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ndnprivacy/internal/ndn"
@@ -74,6 +75,9 @@ type Store struct {
 	pool     []*Entry
 	onEvict  func(*Entry)
 	onRemove func(*Entry, RemoveReason, time.Duration)
+	// hidden holds the withheld candidates one Match takes out of the
+	// name tree; reused across calls.
+	hidden []*pcct.Entry
 
 	// Activity counters live on telemetry.Counter so an instrumented
 	// store shares them with the run's registry; uninstrumented stores
@@ -168,14 +172,14 @@ func (s *Store) InstrumentSpans(tr *span.Tracer, node string) {
 
 // FinishSpans closes every still-open residency span at virtual time
 // now with action "resident" — call once at end of run so entries that
-// were never evicted still export a bounded span. The walk follows the
-// sorted prefix index, so output order is deterministic.
+// were never evicted still export a bounded span. Entries are visited
+// in name order, so output order is deterministic.
 func (s *Store) FinishSpans(now time.Duration) {
 	if s.spans == nil {
 		return
 	}
-	for i := 0; i < s.t.CSIndexLen(); i++ {
-		entry := s.t.CSIndex(i).CS().(*Entry)
+	for _, e := range s.byName() {
+		entry := e.CS().(*Entry)
 		if entry.residency == nil {
 			continue
 		}
@@ -232,8 +236,7 @@ func (s *Store) SetRemovalObserver(obs func(e *Entry, reason RemoveReason, now t
 // entry for metadata updates.
 func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 	key := data.Name.Key()
-	e := s.t.Get(data.Name)
-	if e != nil && e.CS() != nil {
+	if e := s.t.Get(data.Name); e != nil && e.CS() != nil {
 		// Refresh payload and timing, keep counters: the router already
 		// knows this content.
 		existing := e.CS().(*Entry)
@@ -262,11 +265,9 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		// entry serves many fetches across its cache lifetime.
 		entry.residency, _ = s.spans.Begin(span.Context{}, span.KindResidency, s.node, key, int64(now))
 	}
-	if e == nil {
-		// The eviction loop may have mutated the table; Put re-probes.
-		e = s.t.Put(data.Name)
-	}
-	s.t.AttachCS(e, entry)
+	// Probe again: an eviction can free the prefix-only entry the
+	// refresh check found.
+	s.t.AttachCS(s.t.Put(data.Name), entry)
 	s.insertions.Inc()
 	s.emit(telemetry.EvCSInsert, key, now, "new")
 	return entry
@@ -353,41 +354,62 @@ func (s *Store) countLookup(hit bool) {
 // the lexicographically smallest full name wins, which makes simulation
 // runs deterministic.
 //
-//ndnlint:hotpath — the forwarder's CS check; must not allocate on the exact-hit path
+//ndnlint:hotpath — the forwarder's CS check; must not allocate on the exact-hit or miss path
 func (s *Store) Match(interest *ndn.Interest, now time.Duration) (*Entry, bool) {
 	// Fast path: exact name.
-	if e := s.t.Get(interest.Name); e != nil && e.CS() != nil {
+	e := s.t.Get(interest.Name)
+	if e != nil && e.CS() != nil {
 		entry := e.CS().(*Entry)
 		if !entry.IsStale(now) {
 			s.countLookup(true)
 			return entry, true
 		}
 		s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+		// The purge frees e unless names remain cached below it.
+		e = s.t.Get(interest.Name)
 	}
-	// Prefix range: all names under interest.Name form a contiguous,
-	// sorted run of the index, so the first fresh match is the
-	// lexicographically smallest.
-	i := s.t.CSLowerBound(interest.Name)
-	for i < s.t.CSIndexLen() {
-		e := s.t.CSIndex(i)
-		if !interest.Name.IsPrefixOf(e.Name()) {
+	// Every cached name under interest.Name lies in e's subtree, and
+	// candidates come out of it in name order from the smallest: a
+	// stale one is purged, a withheld one (an unpredictable suffix
+	// answers only exact interests) is hidden from the tree until the
+	// lookup ends, and the first fresh match wins. That is the winner
+	// and the purge order of a scan over every cached name in name
+	// order.
+	var found *Entry
+	for e != nil {
+		c := s.t.CSMin(e)
+		if c == nil {
 			break
 		}
-		entry := e.CS().(*Entry)
+		entry := c.CS().(*Entry)
 		if entry.IsStale(now) {
-			// Removal closes the index gap; the next candidate slides
-			// into position i.
-			s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
-			continue
+			s.removeEntry(c, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+		} else if entry.Data.Matches(interest) {
+			found = entry
+			break
+		} else {
+			s.t.HideCS(c)
+			s.hidden = append(s.hidden, c) //ndnlint:allow alloccheck — grows once to the longest run of withheld names one lookup skips
 		}
-		if entry.Data.Matches(interest) {
-			s.countLookup(true)
-			return entry, true
-		}
-		i++
+		// A purge or a hide can free e.
+		e = s.t.Get(interest.Name)
 	}
-	s.countLookup(false)
-	return nil, false
+	for _, c := range s.hidden {
+		s.t.UnhideCS(c) //ndnlint:allow alloccheck — re-creates only the prefix entries HideCS freed, from the arena free list
+	}
+	s.hidden = s.hidden[:0]
+	s.countLookup(found != nil)
+	return found, found != nil
+}
+
+// compareNames orders table entries by name.
+func compareNames(a, b *pcct.Entry) int { return a.Name().Compare(b.Name()) }
+
+// byName returns every CS entry in name order.
+func (s *Store) byName() []*pcct.Entry {
+	es := s.t.AppendCS(nil)
+	slices.SortFunc(es, compareNames)
+	return es
 }
 
 // Touch records a cache hit on the entry for eviction-recency purposes.
@@ -415,19 +437,20 @@ func (s *Store) Remove(name ndn.Name, now time.Duration) bool {
 }
 
 // Clear empties the store at virtual time now, preserving
-// configuration. It drains the sorted prefix index front-to-back so the
-// eviction-event order is deterministic (sorted by name).
+// configuration. It removes entries in name order, so the
+// eviction-event order is deterministic.
 func (s *Store) Clear(now time.Duration) {
-	for s.t.CSIndexLen() > 0 {
-		s.removeEntry(s.t.CSIndex(0), now, ReasonClear)
+	for _, e := range s.byName() {
+		s.removeEntry(e, now, ReasonClear)
 	}
 }
 
-// Names returns the full names of all cached objects, sorted.
+// Names returns the full names of all cached objects in name order.
 func (s *Store) Names() []ndn.Name {
-	out := make([]ndn.Name, s.t.CSIndexLen())
-	for i := range out {
-		out[i] = s.t.CSIndex(i).Name()
+	es := s.byName()
+	out := make([]ndn.Name, len(es))
+	for i, e := range es {
+		out[i] = e.Name()
 	}
 	return out
 }

@@ -237,6 +237,25 @@ func TestStoreNamesSorted(t *testing.T) {
 	}
 }
 
+// TestStoreInsertAfterEvictingDescendant pins Insert's second probe:
+// the refresh check finds the prefix-only tree entry /a, and evicting
+// /a/b (its only CS descendant) frees that entry before the new Data
+// is attached.
+func TestStoreInsertAfterEvictingDescendant(t *testing.T) {
+	s := MustNewStore(1, NewLRU())
+	s.Insert(mkData(t, "/a/b"), 0, 0)
+	s.Insert(mkData(t, "/a"), time.Second, 0)
+	if names := s.Names(); len(names) != 1 || names[0].String() != "/a" {
+		t.Fatalf("Names = %v, want [/a]", names)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s.Len())
+	}
+	if _, found := s.Exact(ndn.MustParseName("/a"), time.Second); !found {
+		t.Fatal("Exact(/a) missed after insert")
+	}
+}
+
 func TestStoreIsStaleZeroFreshness(t *testing.T) {
 	e := &Entry{Data: &ndn.Data{}}
 	if e.IsStale(time.Hour) {

@@ -530,7 +530,7 @@ func (s *Store) secondLookup(name ndn.Name, interest *ndn.Interest, now time.Dur
 }
 
 // Match finds a cached object satisfying the interest: exact fast path
-// through the owning shard, then the RAM front's prefix indexes (the
+// through the owning shard, then the RAM front's name trees (the
 // lexicographically smallest full name wins across shards, keeping runs
 // deterministic), then an exact-only second-tier lookup — like
 // production disk tiers, the second tier indexes full names only, so

@@ -27,13 +27,7 @@ type GroupFunc func(data *ndn.Data) string
 // paper's suggestion of treating elements of the same namespace as one
 // group.
 func PrefixGroup(depth int) GroupFunc {
-	return func(data *ndn.Data) string {
-		name := data.Name
-		if name.Len() <= depth {
-			return name.Key()
-		}
-		return name.Prefix(depth).Key()
-	}
+	return func(data *ndn.Data) string { return data.Name.Prefix(depth).Key() }
 }
 
 // ContentIDGroup groups by the producer-assigned content-id field — the

@@ -157,12 +157,10 @@ func (c *Consumer) deliver(pkt any) {
 	// Resolve every pending fetch whose name is a prefix of the data
 	// name (the NDN matching rule).
 	for k := 0; k <= data.Name.Len(); k++ {
-		key := data.Name.Prefix(k).Key()
+		prefix := data.Name.Prefix(k)
+		key := prefix.Key()
 		waiters, found := c.pending[key]
-		if !found {
-			continue
-		}
-		if !data.Matches(&ndn.Interest{Name: data.Name.Prefix(k)}) {
+		if !found || !data.MatchesName(prefix) {
 			continue
 		}
 		for _, p := range waiters {

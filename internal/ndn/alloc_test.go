@@ -61,3 +61,20 @@ func TestNameViewAccessZeroAlloc(t *testing.T) {
 		t.Fatal("accessors unexpectedly read nothing")
 	}
 }
+
+func TestNamePrefixZeroAlloc(t *testing.T) {
+	name := MustParseName("/youtube/alice/video-749.avi/137")
+	var n int
+	if allocs := testing.AllocsPerRun(200, func() {
+		for k := 0; k <= name.Len(); k++ {
+			n += len(name.Prefix(k).Key())
+		}
+		p, _ := name.Parent()
+		n += p.Len()
+	}); allocs != 0 {
+		t.Errorf("Name.Prefix/Parent: %.0f allocs/run, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("prefixes unexpectedly empty")
+	}
+}

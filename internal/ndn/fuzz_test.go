@@ -165,6 +165,8 @@ func FuzzParseName(f *testing.F) {
 	f.Add("/%41%42")
 	f.Add("/a//b")
 	f.Add("")
+	f.Add("/a%2Fb/c%2F/%2F")
+	f.Add("/x/y/z/w/v")
 	f.Fuzz(func(t *testing.T, uri string) {
 		n, err := ParseName(uri)
 		if err != nil {
@@ -177,6 +179,18 @@ func FuzzParseName(f *testing.F) {
 		}
 		if !back.Equal(n) {
 			t.Fatalf("canonical round trip mismatch: %q", uri)
+		}
+		// Prefix slices the canonical URI; it must agree with rendering
+		// the first k components from scratch.
+		for k := 0; k <= n.Len(); k++ {
+			comps := make([][]byte, k)
+			for i := range comps {
+				comps[i] = n.Component(i)
+			}
+			want := NewName(comps...)
+			if got := n.Prefix(k); got.Key() != want.Key() || got.Hash() != want.Hash() || !got.Equal(want) {
+				t.Fatalf("%q.Prefix(%d) = %q, want %q", n, k, got.Key(), want.Key())
+			}
 		}
 	})
 }

@@ -149,7 +149,11 @@ func (n Name) AppendString(components ...string) Name {
 }
 
 // Prefix returns the name truncated to its first k components. k is
-// clamped to [0, Len()].
+// clamped to [0, Len()]. The result shares the parent's components and
+// slices its canonical URI just before the (k+1)-th '/' (escape renders
+// every '/' inside a component as %2F, so each '/' in the URI starts a
+// component); only the root and a zero-value Name are rendered. Prefix
+// allocates nothing.
 func (n Name) Prefix(k int) Name {
 	if k < 0 {
 		k = 0
@@ -157,19 +161,32 @@ func (n Name) Prefix(k int) Name {
 	if k > len(n.components) {
 		k = len(n.components)
 	}
-	out := Name{components: n.components[:k]}
-	out.uri = out.render()
-	out.hash = hashName(out.components)
+	out := Name{components: n.components[:k], hash: hashName(n.components[:k])}
+	if k == 0 || n.uri == "" {
+		out.uri = out.render()
+	} else {
+		out.uri = n.uri[:uriCut(n.uri, k)]
+	}
 	return out
+}
+
+// uriCut returns the offset of the (k+1)-th '/' in a canonical URI: the
+// end of its first k components.
+func uriCut(uri string, k int) int {
+	for i := 1; i < len(uri); i++ {
+		if uri[i] == '/' {
+			if k--; k == 0 {
+				return i
+			}
+		}
+	}
+	return len(uri)
 }
 
 // Parent returns the name with its last component removed, and false if
 // the name is already empty.
 func (n Name) Parent() (Name, bool) {
-	if n.IsEmpty() {
-		return Name{uri: "/", hash: nameHashBasis}, false
-	}
-	return n.Prefix(n.Len() - 1), true
+	return n.Prefix(n.Len() - 1), !n.IsEmpty()
 }
 
 // Equal reports whether two names have identical components.

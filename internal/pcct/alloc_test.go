@@ -45,7 +45,8 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 	for i := range names {
 		names[i] = ndn.MustParseName(fmt.Sprintf("/churn/%d", i))
 	}
-	// Warm the arena, the bucket array and the prefix index.
+	// Warm the arena and the bucket array; the name tree empties and
+	// refills its prefix entries on every cycle below.
 	for i := range names {
 		e := tb.Put(names[i])
 		tb.AttachCS(e, i)

@@ -80,7 +80,7 @@ func BenchmarkPCCTChurn(b *testing.B) {
 }
 
 // BenchmarkPCCTCSAttach measures the full CS-facet cycle: table insert,
-// policy-list insert, prefix-index insert, then detach and release —
+// policy-list insert, name-tree ancestor walk, then detach and release —
 // the structural cost of one cache insert-evict pair without payload
 // cloning.
 func BenchmarkPCCTCSAttach(b *testing.B) {

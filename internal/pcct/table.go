@@ -2,18 +2,33 @@
 // Content Store and the PIT: a single open-addressing hash table, keyed
 // by the rolling-FNV name hashes the zero-copy NameView layer
 // precomputes, whose entries carry a Content Store facet (payload +
-// intrusive eviction-policy links + a sorted prefix-index slot) and a
-// PIT facet (downstream faces, nonces, expiry). The layout follows
-// ndn-dpdk's PCCT (csrc/pcct), but a forwarder runs its CS and its PIT
-// on two separate tables, each using one facet: the interest pipeline
-// is the plain CS → PIT → FIB sequence of the paper's Section II.
+// intrusive eviction-policy links) and a PIT facet (downstream faces,
+// nonces, expiry). The layout follows ndn-dpdk's PCCT (csrc/pcct), but
+// a forwarder runs its CS and its PIT on two separate tables, each
+// using one facet: the interest pipeline is the plain CS → PIT → FIB
+// sequence of the paper's Section II.
+//
+// The CS facets also form a name tree inside the same hash table, in
+// the manner of NFD's NameTree: every proper prefix of a cached name is
+// a table entry, linked to its parent through intrusive links, and
+// counts the CS facets below it. Prefix entries that carry no facet
+// exist only for the tree and are released as soon as nothing is
+// cached below them. Each entry keeps its children in an intrusive
+// pairing heap ordered by their last component, so the smallest CS
+// name below any entry (by ndn.Name.Compare) is found by following
+// heap roots down: the first candidate of the Content Store's prefix
+// match. A new child waits in an unsorted list until a lookup needs
+// the order, so attaching or detaching a CS facet only walks the
+// ancestors, and the heap work (O(log children) amortized per child)
+// falls on prefix lookups. So CS insert, evict and prefix lookup cost
+// O(name depth) whatever the table size.
 //
 // Entries live in a chunked arena with a free list, so steady-state
 // insert/remove churn allocates nothing and entry pointers stay stable
 // across growth.
 //
 // Nothing in this package iterates a Go map — bucket probing, the
-// policy lists and the sorted prefix index are all slice-backed — so
+// policy lists and the name tree are all slice- or link-backed — so
 // every enumeration order is a pure function of the operation history,
 // which is what the simulator's byte-identity determinism tests demand.
 //
@@ -22,6 +37,7 @@
 package pcct
 
 import (
+	"bytes"
 	"time"
 
 	"ndnprivacy/internal/ndn"
@@ -44,13 +60,13 @@ type PITFacet struct {
 	// Active reports whether the facet is live; an entry can exist with
 	// only a CS facet.
 	Active bool
+	// Privacy records whether the entry-creating interest carried the
+	// consumer privacy bit.
+	Privacy bool
 	// Expires and Created are virtual times: when the entry lapses and
 	// when the entry-creating interest arrived.
 	Expires time.Duration
 	Created time.Duration
-	// Privacy records whether the entry-creating interest carried the
-	// consumer privacy bit.
-	Privacy bool
 	// Trace and Span carry the entry-creating interest's span context.
 	Trace uint64
 	Span  uint64
@@ -62,12 +78,15 @@ type PITFacet struct {
 
 // Entry is one composite-table entry: a unique name plus up to two
 // facets. Fields are managed through Table methods so the policy lists,
-// the prefix index and the facet counts stay consistent.
+// the name tree and the facet counts stay consistent.
 type Entry struct {
 	hash uint64
 	name ndn.Name
 	id   int32
 	live bool
+	// inTree reports whether the CS facet is counted in the name tree;
+	// HideCS takes it out for the length of one prefix match.
+	inTree bool
 
 	// CS facet: payload plus intrusive policy-list links. csNext doubles
 	// as the free-list link while the entry is released.
@@ -75,6 +94,20 @@ type Entry struct {
 	csPrev, csNext int32
 	// lfuB is the owning LFU frequency bucket, nilID outside LFU mode.
 	lfuB int32
+
+	// Name tree. An entry is in the tree while below > 0: parent is the
+	// entry one component shorter (nilID for the empty name), kids is
+	// the root of its children's pairing heap and pend heads the
+	// children not yet melded into it.
+	parent, kids, pend int32
+	// Sibling links: hChild heads the entry's heap children, threaded
+	// through hNext; hPrev is the previous sibling, or the heap parent
+	// for a leftmost heap child (nilID at the head of a pend list). A
+	// pending child has no heap children.
+	hChild, hNext, hPrev int32
+	// below counts the tree's CS facets in this subtree, this entry's
+	// included.
+	below int32
 
 	pit PITFacet
 }
@@ -121,11 +154,6 @@ type Table struct {
 	lfuFree int32
 	lfuHead int32
 
-	// csOrder holds the ids of all CS-faceted entries sorted by
-	// ndn.Name.Compare — the compact prefix index replacing the
-	// map-based name trie. Binary search finds any prefix range.
-	csOrder []int32
-
 	nCS, nPIT int
 	// pitLens[k] counts active PIT facets whose name has k components,
 	// so Data satisfaction can skip prefix lengths with no pending
@@ -153,7 +181,7 @@ func New(kind PolicyKind) *Table {
 }
 
 // Len returns the number of live entries (composite entries count
-// once).
+// once), name-tree prefix entries included.
 func (t *Table) Len() int { return t.used }
 
 // LenCS returns the number of entries with a CS facet.
@@ -232,8 +260,10 @@ func (t *Table) GetPrefix(h uint64, k int, of ndn.Name) *Entry {
 }
 
 // Put returns the entry for name, creating a facet-less entry if none
-// exists. The table grows before probing, so a probe that misses ends
-// on the empty slot the new entry takes.
+// exists. The caller attaches a facet or calls ReleaseIfEmpty before
+// any other table operation, which may free a facet-less entry that
+// only the name tree keeps. The table grows before probing, so a probe
+// that misses ends on the empty slot the new entry takes.
 func (t *Table) Put(name ndn.Name) *Entry {
 	if (t.used+1)*4 > len(t.buckets)*3 {
 		t.grow()
@@ -276,18 +306,28 @@ func (t *Table) alloc(h uint64, name ndn.Name) (int32, *Entry) {
 	e.hash = h
 	e.name = name
 	e.live = true
+	e.inTree = false
 	e.csData = nil
 	e.csPrev, e.csNext, e.lfuB = nilID, nilID, nilID
+	e.parent, e.kids, e.pend = nilID, nilID, nilID
+	e.hChild, e.hNext, e.hPrev = nilID, nilID, nilID
+	e.below = 0
 	return id, e
 }
 
-// ReleaseIfEmpty frees the entry once both facets are detached; an
-// entry still carrying a facet is left alone. Freed entries keep their
-// PIT slices for reuse.
+// ReleaseIfEmpty frees the entry once both facets are detached. An
+// entry still carrying a facet is left alone, and so is one that CS
+// facets below it keep in the name tree: the tree frees it when the
+// last one goes. Freed entries keep their PIT slices for reuse.
 func (t *Table) ReleaseIfEmpty(e *Entry) {
-	if !e.live || e.csData != nil || e.pit.Active {
-		return
+	if e.live && e.csData == nil && !e.pit.Active && e.below == 0 {
+		t.release(e)
 	}
+}
+
+// release frees an entry that carries no facet and is not in the name
+// tree.
+func (t *Table) release(e *Entry) {
 	t.eraseSlotOf(e)
 	e.live = false
 	e.name = ndn.Name{}
@@ -351,25 +391,215 @@ func (t *Table) grow() {
 	}
 }
 
-// AttachCS installs the CS facet: payload, policy-list membership and a
-// prefix-index slot. The entry must not already carry a CS facet.
+// AttachCS installs the CS facet on an entry returned by Put: payload,
+// policy-list membership and a count in every ancestor of the name
+// tree. The entry must not already carry a CS facet.
 func (t *Table) AttachCS(e *Entry, payload any) {
 	e.csData = payload
 	t.nCS++
-	t.orderInsert(e)
 	t.policyInsert(e)
+	t.treeAdd(e)
 }
 
 // DetachCS removes the CS facet; the entry itself survives (it may
-// still carry a PIT facet — call ReleaseIfEmpty after).
+// still carry a PIT facet — call ReleaseIfEmpty after). Ancestors left
+// with nothing below them leave the tree and are freed.
 func (t *Table) DetachCS(e *Entry) {
 	if e.csData == nil {
 		return
 	}
 	t.policyRemove(e)
-	t.orderRemove(e)
 	e.csData = nil
 	t.nCS--
+	if e.inTree {
+		t.treeRemove(e)
+	}
+}
+
+// HideCS takes e's CS facet out of the name tree, so CSMin no longer
+// finds it, until UnhideCS puts it back. The facet and its policy
+// position stay; ancestors left with nothing below them are freed as
+// by DetachCS.
+func (t *Table) HideCS(e *Entry) { t.treeRemove(e) }
+
+// UnhideCS returns a CS facet hidden by HideCS to the name tree.
+func (t *Table) UnhideCS(e *Entry) { t.treeAdd(e) }
+
+// treeAdd counts e's CS facet at e and at each ancestor. An entry
+// entering the tree joins its parent's pending children; the parent is
+// created on demand from the zero-copy name prefix.
+func (t *Table) treeAdd(e *Entry) {
+	e.inTree = true
+	n := e.name
+	for x, k := e, n.Len(); ; k-- {
+		x.below++
+		if k == 0 {
+			return
+		}
+		if x.below == 1 {
+			t.linkChild(t.Put(n.Prefix(k-1)), x)
+		}
+		x = t.at(x.parent)
+	}
+}
+
+// treeRemove uncounts e's CS facet at e and at each ancestor. An entry
+// left with nothing below it leaves its parent's child heap; an
+// ancestor that also carries no facet is freed (e itself is the
+// caller's to release).
+func (t *Table) treeRemove(e *Entry) {
+	e.inTree = false
+	for x := e; x != nil; {
+		var p *Entry
+		if x.parent != nilID {
+			p = t.at(x.parent)
+		}
+		x.below--
+		if x.below == 0 {
+			if p != nil {
+				t.unlinkChild(p, x)
+			}
+			if x != e && x.csData == nil && !x.pit.Active {
+				t.release(x)
+			}
+		}
+		x = p
+	}
+}
+
+// linkChild adds x to p's pending children: no compare.
+func (t *Table) linkChild(p, x *Entry) {
+	x.parent = p.id
+	x.hNext = p.pend
+	if p.pend != nilID {
+		t.at(p.pend).hPrev = x.id
+	}
+	p.pend = x.id
+}
+
+// unlinkChild takes x out of p's child heap or pending list, melding
+// x's heap children back in.
+func (t *Table) unlinkChild(p, x *Entry) {
+	switch {
+	case p.kids == x.id:
+		p.kids = t.pairUp(p.name.Len(), x.hChild)
+	case p.pend == x.id:
+		p.pend = x.hNext
+		if x.hNext != nilID {
+			t.at(x.hNext).hPrev = nilID
+		}
+	default:
+		// A leftmost heap child's hPrev is its heap parent.
+		if prev := t.at(x.hPrev); prev.hChild == x.id {
+			prev.hChild = x.hNext
+		} else {
+			prev.hNext = x.hNext
+		}
+		if x.hNext != nilID {
+			t.at(x.hNext).hPrev = x.hPrev
+		}
+		if sub := t.pairUp(p.name.Len(), x.hChild); sub != nilID {
+			p.kids = t.meld(p.name.Len(), t.at(p.kids), t.at(sub)).id
+		}
+	}
+	x.parent, x.hChild, x.hNext, x.hPrev = nilID, nilID, nilID, nilID
+}
+
+// order melds p's pending children into its child heap.
+func (t *Table) order(p *Entry) {
+	k := p.name.Len()
+	r := t.pairUp(k, p.pend)
+	p.pend = nilID
+	if p.kids == nilID {
+		p.kids = r
+	} else {
+		p.kids = t.meld(k, t.at(p.kids), t.at(r)).id
+	}
+}
+
+// meld joins two heap roots whose names differ first at component k:
+// the one sorting later becomes the leftmost heap child of the other,
+// which is returned. The winner's own sibling links are left as they
+// were.
+func (t *Table) meld(k int, a, b *Entry) *Entry {
+	if bytes.Compare(b.name.ComponentRef(k), a.name.ComponentRef(k)) < 0 {
+		a, b = b, a
+	}
+	b.hPrev = a.id
+	b.hNext = a.hChild
+	if a.hChild != nilID {
+		t.at(a.hChild).hPrev = b.id
+	}
+	a.hChild = b.id
+	return a
+}
+
+// pairUp melds the sibling list starting at id into one heap with the
+// pairing heap's two passes and returns its root, nilID for an empty
+// list.
+func (t *Table) pairUp(k int, id int32) int32 {
+	// Left to right: meld adjacent pairs, stacking each result through
+	// hNext.
+	stack := nilID
+	for id != nilID {
+		a := t.at(id)
+		id = a.hNext
+		if id != nilID {
+			b := t.at(id)
+			id = b.hNext
+			a = t.meld(k, a, b)
+		}
+		a.hNext = stack
+		stack = a.id
+	}
+	if stack == nilID {
+		return nilID
+	}
+	// Right to left: meld the stacked heaps into one.
+	root := t.at(stack)
+	for id = root.hNext; id != nilID; {
+		x := t.at(id)
+		id = x.hNext
+		root = t.meld(k, root, x)
+	}
+	root.hNext, root.hPrev = nilID, nilID
+	return root.id
+}
+
+// Below returns the number of CS facets in the name tree whose names
+// have e's name as a prefix, e's own included.
+func (t *Table) Below(e *Entry) int { return int(e.below) }
+
+// CSMin returns the name tree's CS entry with the smallest name under
+// e (by ndn.Name.Compare), nil when the tree holds none. A name sorts
+// before every name it prefixes, and every name under a child heap's
+// root sorts before every name under its siblings, so the walk follows
+// heap roots down to the first entry whose own facet is in the tree,
+// melding pending children into each heap on the way.
+//
+//ndnlint:hotpath — first prefix-match candidate in Store.Match; must not allocate
+func (t *Table) CSMin(e *Entry) *Entry {
+	if e.below == 0 {
+		return nil
+	}
+	for !e.inTree {
+		if e.pend != nilID {
+			t.order(e)
+		}
+		e = t.at(e.kids)
+	}
+	return e
+}
+
+// AppendCS appends every CS-faceted entry, hidden ones included, to dst
+// in arena order: deterministic, but not name order.
+func (t *Table) AppendCS(dst []*Entry) []*Entry {
+	for id := int32(0); id < t.next; id++ {
+		if e := t.at(id); e.live && e.csData != nil {
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // AttachPIT installs the PIT facet and returns it for field
@@ -425,48 +655,4 @@ func (t *Table) ForEachPIT(fn func(*Entry)) {
 			fn(e)
 		}
 	}
-}
-
-// CSIndexLen returns the prefix-index length (== LenCS).
-func (t *Table) CSIndexLen() int { return len(t.csOrder) }
-
-// CSIndex returns the i-th CS-faceted entry in sorted name order.
-//
-//ndnlint:hotpath — prefix-range scan step in Match; must not allocate
-func (t *Table) CSIndex(i int) *Entry { return t.at(t.csOrder[i]) }
-
-// CSLowerBound returns the first prefix-index position whose name
-// compares >= prefix. Every name under the prefix forms a contiguous
-// run starting there (component-wise order sorts a prefix immediately
-// before its extensions).
-//
-//ndnlint:hotpath — prefix-range entry point in Match; must not allocate
-func (t *Table) CSLowerBound(prefix ndn.Name) int {
-	lo, hi := 0, len(t.csOrder)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.at(t.csOrder[mid]).name.Compare(prefix) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// orderInsert places e into the sorted prefix index.
-func (t *Table) orderInsert(e *Entry) {
-	i := t.CSLowerBound(e.name)
-	t.csOrder = append(t.csOrder, 0) //ndnlint:allow alloccheck — amortized index growth, backing array reused across churn
-	copy(t.csOrder[i+1:], t.csOrder[i:])
-	t.csOrder[i] = e.id
-}
-
-// orderRemove deletes e's prefix-index slot.
-func (t *Table) orderRemove(e *Entry) {
-	i := t.CSLowerBound(e.name)
-	// The lower bound lands on the first equal name; names are unique,
-	// so csOrder[i] is e.
-	copy(t.csOrder[i:], t.csOrder[i+1:])
-	t.csOrder = t.csOrder[:len(t.csOrder)-1]
 }

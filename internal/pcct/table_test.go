@@ -138,13 +138,17 @@ func TestChurnAgainstMap(t *testing.T) {
 	}
 }
 
-func csNames(tb *Table) []string {
-	out := make([]string, 0, tb.CSIndexLen())
-	for i := 0; i < tb.CSIndexLen(); i++ {
-		out = append(out, tb.CSIndex(i).Name().Key())
+// sortedKeys returns the keys of es in name order.
+func sortedKeys(es []*Entry) []string {
+	sort.Slice(es, func(i, j int) bool { return es[i].Name().Compare(es[j].Name()) < 0 })
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.Name().Key()
 	}
 	return out
 }
+
+func csNames(tb *Table) []string { return sortedKeys(tb.AppendCS(nil)) }
 
 func TestPrefixIndexSortedAndRanged(t *testing.T) {
 	tb := New(PolicyLRU)
@@ -156,42 +160,42 @@ func TestPrefixIndexSortedAndRanged(t *testing.T) {
 	got := csNames(tb)
 	want := append([]string(nil), uris...)
 	sort.Strings(want) // URI order == component order for these names
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index order %v, want %v", got, want)
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("tree holds %v, want %v", got, want)
 	}
-	// Range scan under /a/b must yield exactly /a/b, /a/b/c, /a/b/d.
-	prefix := name("/a/b")
-	var under []string
-	for i := tb.CSLowerBound(prefix); i < tb.CSIndexLen(); i++ {
-		e := tb.CSIndex(i)
-		if !prefix.IsPrefixOf(e.Name()) {
-			break
-		}
-		under = append(under, e.Name().Key())
+	// The subtree under /a/b holds /a/b, /a/b/c and /a/b/d; its
+	// minimum is /a/b itself.
+	ab := tb.Get(name("/a/b"))
+	if tb.Below(ab) != 3 || tb.CSMin(ab) != ab {
+		t.Fatalf("/a/b: below %d, min %v", tb.Below(ab), tb.CSMin(ab).Name())
 	}
-	wantUnder := []string{"/a/b", "/a/b/c", "/a/b/d"}
-	if len(under) != len(wantUnder) {
-		t.Fatalf("under(/a/b) = %v, want %v", under, wantUnder)
+	// Hiding /a/b surfaces the next name below it.
+	tb.HideCS(ab)
+	if tb.Below(ab) != 2 || tb.CSMin(ab).Name().Key() != "/a/b/c" {
+		t.Fatalf("hidden /a/b: below %d, min %v", tb.Below(ab), tb.CSMin(ab).Name())
 	}
-	for i := range wantUnder {
-		if under[i] != wantUnder[i] {
-			t.Fatalf("under(/a/b) = %v, want %v", under, wantUnder)
-		}
+	tb.UnhideCS(ab)
+	// Interior /a/c exists only for the tree.
+	if ac := tb.Get(name("/a/c")); ac == nil || ac.CS() != nil || tb.CSMin(ac).Name().Key() != "/a/c/z" {
+		t.Fatal("prefix-only entry /a/c missing or wrong")
 	}
-	// Removal keeps the index sorted and closed.
-	mid := tb.Get(name("/a/b/c"))
-	tb.DetachCS(mid)
-	tb.ReleaseIfEmpty(mid)
+	// Seven names plus the prefix-only /, /a/c and /b.
+	if tb.Len() != len(uris)+3 {
+		t.Fatalf("Len = %d, want %d", tb.Len(), len(uris)+3)
+	}
+	// Removing /a/c/z frees the prefix-only /a/c.
+	z := tb.Get(name("/a/c/z"))
+	tb.DetachCS(z)
+	tb.ReleaseIfEmpty(z)
+	if tb.Get(name("/a/c")) != nil {
+		t.Fatal("prefix-only entry survived its last CS descendant")
+	}
 	got = csNames(tb)
 	if len(got) != len(uris)-1 {
-		t.Fatalf("after removal index holds %d names", len(got))
+		t.Fatalf("after removal the tree holds %d names", len(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("index out of order after removal: %v", got)
-		}
+	if m := tb.CSMin(tb.Get(name("/"))); m.Name().Key() != "/a" {
+		t.Fatalf("root minimum = %s, want /a", m.Name())
 	}
 }
 
@@ -230,7 +234,8 @@ func TestCompositeEntryBothFacets(t *testing.T) {
 	e := tb.Put(name("/both"))
 	tb.AttachPIT(e)
 	tb.AttachCS(e, "data")
-	if tb.Len() != 1 || tb.LenCS() != 1 || tb.LenPIT() != 1 {
+	// Len also counts the name tree's entry for the empty name.
+	if tb.Len() != 2 || tb.LenCS() != 1 || tb.LenPIT() != 1 {
 		t.Fatalf("composite entry miscounted: %d/%d/%d", tb.Len(), tb.LenCS(), tb.LenPIT())
 	}
 	tb.DetachPIT(e)
